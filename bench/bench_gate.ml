@@ -210,11 +210,7 @@ let entry_of_json j =
    alloc_w columns) parse; alloc gating simply disengages against a
    schema-1 baseline. *)
 let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  let j = parse src in
+  let j = parse (In_channel.with_open_bin path In_channel.input_all) in
   let schema = to_str (member "schema" j) in
   if schema <> "dprbg-bench-pr3/1" && schema <> "dprbg-bench/2" then
     malformed "%s: unknown schema %S" path schema;

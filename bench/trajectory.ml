@@ -143,36 +143,32 @@ let run ~path () =
     true
   end
   else begin
-    let ic = open_in path in
+    let lines = In_channel.with_open_text path In_channel.input_lines in
     let counts = Hashtbl.create 4 in
     let errors = ref 0 in
-    let line_no = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         incr line_no;
-         if String.trim line <> "" then begin
-           match
-             let json = Bench_gate.parse line in
-             check_row json;
-             json
-           with
-           | json ->
-               let schema = str json "schema" in
-               Hashtbl.replace counts schema
-                 (1 + Option.value ~default:0 (Hashtbl.find_opt counts schema))
-           | exception Bench_gate.Malformed msg ->
-               incr errors;
-               Printf.printf "trajectory: %s:%d: %s\n" path !line_no msg
-         end
-       done
-     with End_of_file -> close_in ic);
+    List.iteri
+      (fun i line ->
+        if String.trim line <> "" then
+          match
+            let json = Bench_gate.parse line in
+            check_row json;
+            json
+          with
+          | json ->
+              let schema = str json "schema" in
+              Hashtbl.replace counts schema
+                (1 + Option.value ~default:0 (Hashtbl.find_opt counts schema))
+          | exception Bench_gate.Malformed msg ->
+              incr errors;
+              Printf.printf "trajectory: %s:%d: %s\n" path (i + 1) msg)
+      lines;
     Hashtbl.fold (fun s c acc -> (s, c) :: acc) counts []
     |> List.sort compare
     |> List.iter (fun (s, c) ->
            Printf.printf "trajectory: %4d row(s) of %s\n" c s);
     if !errors = 0 then begin
-      Printf.printf "trajectory: OK (%d line(s) in %s)\n" !line_no path;
+      Printf.printf "trajectory: OK (%d line(s) in %s)\n" (List.length lines)
+        path;
       true
     end
     else begin

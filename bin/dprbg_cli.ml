@@ -8,7 +8,10 @@
      pool       persistent pool: state survives process restarts
      fuzz       adversarial property fuzzing with shrinking and replay
      trace      structured protocol traces (JSONL export, round timeline)
+     transport  differential soak of a byte transport against the sim
+     chaos      real peer failures on a supervised byte transport
      beacon     randomness-beacon service: chained epochs, batched vending
+     recover    offline snapshot + journal recovery and verification
      loadgen    drive the beacon with synthetic arrivals, report latency
 *)
 
@@ -41,6 +44,7 @@ let t_arg =
   Arg.(value & opt int 2 & info [ "t" ] ~docv:"T" ~doc)
 
 let n_for t = (6 * t) + 1
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let backend_conv =
   let parse s =
@@ -335,12 +339,10 @@ let pool_cmd =
     in
     let pool =
       if (not fresh) && Sys.file_exists state_file then begin
-        let ic = open_in_bin state_file in
-        let len = in_channel_length ic in
-        let data = really_input_string ic len in
-        close_in ic;
-        match Pool.load ~sentinel ~prng:(Prng.of_int seed) ~batch_size:32
-                ~refill_threshold:3 (Bytes.of_string data)
+        match
+          Pool.load ~sentinel ~prng:(Prng.of_int seed) ~batch_size:32
+            ~refill_threshold:3
+            (Bytes.of_string (read_file state_file))
         with
         | pool ->
             Printf.printf "# restored pool from %s\n" state_file;
@@ -1033,25 +1035,66 @@ let chaos_cmd =
 
 (* ------------------------------------------------------------------ *)
 
-(* Beacon plumbing shared by `beacon` and `loadgen`. Exit code 7 is
-   chain-verification failure: the transcript (or the beacon's own
-   emitted chain) does not recompute — a red flag CI must not swallow. *)
+(* Beacon plumbing shared by `beacon`, `recover` and `loadgen`. Exit
+   code 7 is chain-verification failure: the transcript (or the beacon's
+   own emitted chain) does not recompute — a red flag CI must not
+   swallow. *)
 
-let beacon_pool ~sentinel ~seed ~n ~t () =
-  B.P.create ~sentinel ~prng:(Prng.of_int seed) ~n ~t ~batch_size:32
-    ~refill_threshold:3 ~initial_seed:6 ()
+let beacon_sentinel = Some Sentinel.passive
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  data
+let beacon_pool ~seed ~t =
+  B.P.create ~sentinel:beacon_sentinel ~prng:(Prng.of_int seed) ~n:(n_for t)
+    ~t ~batch_size:32 ~refill_threshold:3 ~initial_seed:6 ()
 
-(* Snapshot writes are atomic everywhere: temp + fsync + rename, so a
-   crash mid-write can clobber at most a stale [.tmp], never the last
-   good state. *)
-let write_file path bytes = Beacon_journal.write_file_atomic path bytes
+let verify_or_exit ~key ~failure epochs =
+  match B.verify_chain ~key epochs with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "error: %s: %s\n" failure msg;
+      exit 7
+
+(* A failed epoch close exits 5 when the beacon has halted (it refuses
+   to vend possibly-biased randomness; [halted] prefixes the reason),
+   1 otherwise. *)
+let close_failed ~halted b msg =
+  match B.state b with
+  | B.Halted _ ->
+      Printf.eprintf "error: %s%s\n" halted msg;
+      exit 5
+  | _ ->
+      Printf.eprintf "error: epoch close failed — %s\n" msg;
+      exit 1
+
+(* Restore the beacon snapshot at [path], or start a new chain from the
+   genesis head when there is none (or [fresh]). The caller reports:
+   [restored] on success, [corrupt] before exit 1 on a damaged snapshot,
+   [genesis] before starting anew. *)
+let load_or_genesis ~fresh ~expect_head ~key ~seed ~t ~restored ~corrupt
+    ~genesis path =
+  if (not fresh) && Sys.file_exists path then (
+    match
+      B.load ~key ?expect_head ~sentinel:beacon_sentinel
+        ~prng:(Prng.of_int seed) ~batch_size:32 ~refill_threshold:3
+        (Bytes.of_string (read_file path))
+    with
+    | b ->
+        restored b;
+        b
+    | exception B.Corrupt_snapshot msg ->
+        corrupt msg;
+        exit 1)
+  else begin
+    genesis ();
+    B.create ~key ~pool:(beacon_pool ~seed ~t) ()
+  end
+
+let attach_or_exit ~hint ~journal ~snapshot b =
+  match B.Durable.attach ~journal ~snapshot b with
+  | r -> r
+  | exception Beacon_journal.Corrupt_journal msg ->
+      Printf.eprintf "error: journal is damaged beyond the torn tail: %s\n%s\n"
+        msg hint;
+      exit 1
 
 let verify_transcript ~key path =
   let lines =
@@ -1068,15 +1111,11 @@ let verify_transcript ~key path =
             exit 7)
       lines
   in
-  match B.verify_chain ~key epochs with
-  | Ok () ->
-      Printf.printf "# verified %d epoch(s)%s\n" (List.length epochs)
-        (match List.rev epochs with
-        | last :: _ -> " | head " ^ Beacon_hash.to_hex last.B.digest
-        | [] -> "")
-  | Error msg ->
-      Printf.eprintf "error: chain verification failed: %s\n" msg;
-      exit 7
+  verify_or_exit ~key ~failure:"chain verification failed" epochs;
+  Printf.printf "# verified %d epoch(s)%s\n" (List.length epochs)
+    (match List.rev epochs with
+    | last :: _ -> " | head " ^ Beacon_hash.to_hex last.B.digest
+    | [] -> "")
 
 let beacon_key_arg =
   let doc = "MAC key for epoch records (verification needs the same key)." in
@@ -1196,7 +1235,6 @@ let beacon_cmd =
     match verify with
     | Some path -> verify_transcript ~key path
     | None -> (
-        let n = n_for t in
         let expect_head =
           Option.map
             (fun h ->
@@ -1221,48 +1259,37 @@ let beacon_cmd =
              --chaos-kills <= --epochs\n";
           exit 2
         end;
-        let sentinel = Some Sentinel.passive in
         let restore_or_create ~fresh () =
-          if (not fresh) && Sys.file_exists state_file then begin
-            match
-              B.load ~key ?expect_head ~sentinel ~prng:(Prng.of_int seed)
-                ~batch_size:32 ~refill_threshold:3
-                (Bytes.of_string (read_file state_file))
-            with
-            | b ->
-                Printf.printf "# restored beacon from %s (next epoch %d)\n"
-                  state_file (B.next_seq b);
-                b
-            | exception B.Corrupt_snapshot msg ->
-                Printf.eprintf
-                  "error: %s is not a restorable beacon snapshot (%s)\n\
-                   Refusing to emit epochs from damaged or mismatched state; \
-                   rerun with --fresh to start a new chain.\n"
-                  state_file msg;
-                exit 1
-          end
-          else begin
-            (* --fresh must not inherit a stale journal: replaying another
-               chain's records onto a new chain is exactly the mismatch
-               recovery exists to reject. Without --fresh a journal with
-               no snapshot is NOT stale — it is the journal-only recovery
-               case (crash before the first snapshot) and Durable.attach
-               replays it from epoch 0. *)
-            if fresh then
-              List.iter
-                (fun p ->
-                  match p with
-                  | Some p when Sys.file_exists p -> Sys.remove p
-                  | _ -> ())
-                [
-                  journal;
-                  Option.map (fun j -> j ^ ".tmp") journal;
-                  Some state_file;
-                  Some (state_file ^ ".tmp");
-                ];
-            Printf.printf "# starting from the genesis head\n";
-            B.create ~key ~pool:(beacon_pool ~sentinel ~seed ~n ~t ()) ()
-          end
+          load_or_genesis ~fresh ~expect_head ~key ~seed ~t state_file
+            ~restored:(fun b ->
+              Printf.printf "# restored beacon from %s (next epoch %d)\n"
+                state_file (B.next_seq b))
+            ~corrupt:(fun msg ->
+              Printf.eprintf
+                "error: %s is not a restorable beacon snapshot (%s)\n\
+                 Refusing to emit epochs from damaged or mismatched state; \
+                 rerun with --fresh to start a new chain.\n"
+                state_file msg)
+            ~genesis:(fun () ->
+              (* --fresh must not inherit a stale journal: replaying
+                 another chain's records onto a new chain is exactly the
+                 mismatch recovery exists to reject. Without --fresh a
+                 journal with no snapshot is NOT stale — it is the
+                 journal-only recovery case (crash before the first
+                 snapshot) and Durable.attach replays it from epoch 0. *)
+              if fresh then
+                List.iter
+                  (fun p ->
+                    match p with
+                    | Some p when Sys.file_exists p -> Sys.remove p
+                    | _ -> ())
+                  [
+                    journal;
+                    Option.map (fun j -> j ^ ".tmp") journal;
+                    Some state_file;
+                    Some (state_file ^ ".tmp");
+                  ];
+              Printf.printf "# starting from the genesis head\n")
         in
         let print_status b =
           let s = B.stats b in
@@ -1277,247 +1304,200 @@ let beacon_cmd =
             s.B.shed_halted
             (B.P.available (B.pool b))
         in
-        let self_verify b =
-          match B.verify_chain ~key (B.chain b) with
-          | Ok () -> ()
-          | Error msg ->
-              Printf.eprintf
-                "error: emitted chain fails self-verification: %s\n" msg;
-              exit 7
+        let kill_epochs =
+          if chaos_kills > 0 then
+            Transport.Chaos.serve_kill_epochs ~seed ~kills:chaos_kills ~epochs
+          else []
         in
-        match journal with
-        | None ->
-            (* Snapshot-only mode: the historical behavior, with the
-               snapshot write now atomic. *)
-            let b = restore_or_create ~fresh () in
-            if status then print_status b
-            else begin
-              let tr_oc =
-                Option.map
-                  (fun p -> open_out_gen [ Open_append; Open_creat ] 0o644 p)
-                  transcript
-              in
-              let save () = write_file state_file (B.save b) in
-              for _ = 1 to epochs do
-                for _ = 1 to requests do
-                  match B.request b ?nbits ~callback:(fun _ -> ()) () with
-                  | Ok _ -> ()
-                  | Error r ->
-                      Printf.printf "# shed request: %s\n" (B.reject_name r)
-                done;
-                match B.close_epoch b with
-                | Ok e ->
-                    Printf.printf "epoch %4d  vended=%d shed=%d flags=%s  %s\n"
-                      e.B.seq e.B.vended e.B.shed e.B.flags
-                      (Beacon_hash.to_hex e.B.digest);
-                    Option.iter
-                      (fun oc -> output_string oc (B.epoch_to_json e ^ "\n"))
-                      tr_oc
-                | Error msg -> (
-                    save ();
-                    Option.iter close_out tr_oc;
-                    match B.state b with
-                    | B.Halted _ ->
-                        Printf.eprintf
-                          "error: beacon halted — refusing to vend \
-                           possibly-biased randomness.\n%s\n"
-                          msg;
-                        exit 5
-                    | _ ->
-                        Printf.eprintf "error: epoch close failed — %s\n" msg;
-                        exit 1)
+        (* One serving incarnation: restore, recover the journal (if
+           any), serve to the target, snapshot, exit. Runs in-process,
+           or as the forked child under --supervise. *)
+        let serve_once ~fresh () =
+          let b = restore_or_create ~fresh () in
+          let durable =
+            Option.map
+              (fun jpath ->
+                let d, rs =
+                  attach_or_exit ~journal:jpath ~snapshot:state_file b
+                    ~hint:
+                      (Printf.sprintf
+                         "Run `dprbg recover --journal %s` to inspect, or \
+                          restore from a trusted snapshot and transcript."
+                         jpath)
+                in
+                if rs.B.Durable.torn_bytes > 0 then
+                  Printf.printf "# dropped a torn journal tail (%d byte(s))\n"
+                    rs.B.Durable.torn_bytes;
+                if rs.B.Durable.replayed <> [] then
+                  Printf.printf
+                    "# replayed %d journaled epoch(s): recovered to epoch %d\n"
+                    (List.length rs.B.Durable.replayed)
+                    (B.next_seq b);
+                d)
+              journal
+          in
+          (* Snapshot-only mode writes the snapshot atomically itself;
+             durable mode journals every close and rotates snapshots. *)
+          let request, close_epoch, save, release =
+            match durable with
+            | None ->
+                ( (fun () -> B.request b ?nbits ~callback:ignore ()),
+                  (fun () -> B.close_epoch b),
+                  (fun () ->
+                    Beacon_journal.write_file_atomic state_file (B.save b)),
+                  ignore )
+            | Some d ->
+                ( (fun () -> B.Durable.request d ?nbits ~callback:ignore ()),
+                  (fun () -> B.Durable.close_epoch d),
+                  (fun () -> B.Durable.snapshot d),
+                  fun () -> B.Durable.close d )
+          in
+          if status then begin
+            release ();
+            print_status b
+          end
+          else begin
+            let tr_oc =
+              Option.map
+                (fun p -> open_out_gen [ Open_append; Open_creat ] 0o644 p)
+                transcript
+            in
+            let target =
+              if supervise then max epochs (B.next_seq b)
+              else B.next_seq b + epochs
+            in
+            while B.next_seq b < target do
+              for _ = 1 to requests do
+                match request () with
+                | Ok _ -> ()
+                | Error r ->
+                    Printf.printf "# shed request: %s\n" (B.reject_name r)
               done;
-              Option.iter close_out tr_oc;
-              save ();
-              self_verify b;
-              print_status b
-            end
-        | Some jpath ->
-            let kill_epochs =
-              if chaos_kills > 0 then
-                Transport.Chaos.serve_kill_epochs ~seed ~kills:chaos_kills
-                  ~epochs
-              else []
-            in
-            (* One serving incarnation: restore, recover, serve to the
-               target, snapshot, exit. Runs in-process (no --supervise)
-               or as the forked child (--supervise). *)
-            let serve_once ~fresh () =
-              let b = restore_or_create ~fresh () in
-              let d, rs =
-                match
-                  B.Durable.attach ~journal:jpath ~snapshot:state_file b
-                with
-                | r -> r
-                | exception Beacon_journal.Corrupt_journal msg ->
-                    Printf.eprintf
-                      "error: journal is damaged beyond the torn tail: %s\n\
-                       Run `dprbg recover --journal %s` to inspect, or \
-                       restore from a trusted snapshot and transcript.\n"
-                      msg jpath;
-                    exit 1
-              in
-              if rs.B.Durable.torn_bytes > 0 then
-                Printf.printf "# dropped a torn journal tail (%d byte(s))\n"
-                  rs.B.Durable.torn_bytes;
-              if rs.B.Durable.replayed <> [] then
-                Printf.printf
-                  "# replayed %d journaled epoch(s): recovered to epoch %d\n"
-                  (List.length rs.B.Durable.replayed)
-                  (B.next_seq b);
-              if status then begin
-                B.Durable.close d;
-                print_status b
-              end
-              else begin
-                let tr_oc =
-                  Option.map
-                    (fun p ->
-                      open_out_gen [ Open_append; Open_creat ] 0o644 p)
-                    transcript
-                in
-                let target =
-                  if supervise then max epochs (B.next_seq b)
-                  else B.next_seq b + epochs
-                in
-                while B.next_seq b < target do
-                  for _ = 1 to requests do
-                    match
-                      B.Durable.request d ?nbits ~callback:(fun _ -> ()) ()
-                    with
-                    | Ok _ -> ()
-                    | Error r ->
-                        Printf.printf "# shed request: %s\n" (B.reject_name r)
-                  done;
-                  (match B.Durable.close_epoch d with
-                  | Ok e ->
-                      Printf.printf
-                        "epoch %4d  vended=%d shed=%d flags=%s  %s\n" e.B.seq
-                        e.B.vended e.B.shed e.B.flags
-                        (Beacon_hash.to_hex e.B.digest);
-                      Option.iter
-                        (fun oc ->
-                          output_string oc (B.epoch_to_json e ^ "\n");
-                          flush oc)
-                        tr_oc;
-                      if List.mem e.B.seq kill_epochs then begin
-                        (* The chaos kill fires only after the epoch is
-                           durable, so the restarted incarnation resumes
-                           past it and the schedule converges. *)
-                        flush stdout;
-                        Unix.kill (Unix.getpid ()) Sys.sigkill
+              (match close_epoch () with
+              | Ok e ->
+                  Printf.printf "epoch %4d  vended=%d shed=%d flags=%s  %s\n"
+                    e.B.seq e.B.vended e.B.shed e.B.flags
+                    (Beacon_hash.to_hex e.B.digest);
+                  Option.iter
+                    (fun oc ->
+                      output_string oc (B.epoch_to_json e ^ "\n");
+                      flush oc)
+                    tr_oc;
+                  if List.mem e.B.seq kill_epochs then begin
+                    (* The chaos kill fires only after the epoch is
+                       durable, so the restarted incarnation resumes past
+                       it and the schedule converges. *)
+                    flush stdout;
+                    Unix.kill (Unix.getpid ()) Sys.sigkill
+                  end
+              | Error msg ->
+                  Option.iter close_out tr_oc;
+                  (* The journal already holds every closed epoch;
+                     snapshot-only mode persists what it has. *)
+                  if journal = None then save ();
+                  release ();
+                  close_failed b msg
+                    ~halted:
+                      "beacon halted — refusing to vend possibly-biased \
+                       randomness.\n");
+              if
+                journal <> None && snapshot_every > 0
+                && B.next_seq b mod snapshot_every = 0
+                && B.next_seq b < target
+              then save ()
+            done;
+            Option.iter close_out tr_oc;
+            save ();
+            release ();
+            verify_or_exit ~key ~failure:"emitted chain fails self-verification"
+              (B.chain b);
+            print_status b
+          end
+        in
+        if not supervise then serve_once ~fresh ()
+        else begin
+          (* The transport supervisor's escalation discipline, applied
+             to the serve loop: SIGTERM to the supervisor forwards to
+             the child with a grace window, then SIGKILL; a killed child
+             is restarted under the budget with exponential backoff
+             that resets whenever the incarnation made durable
+             progress. *)
+          let child = ref None in
+          let term _ =
+            (match !child with
+            | None -> ()
+            | Some pid ->
+                (try Unix.kill pid Sys.sigterm
+                 with Unix.Unix_error _ -> ());
+                let deadline = Unix.gettimeofday () +. 2.0 in
+                let rec drain () =
+                  match Unix.waitpid [ Unix.WNOHANG ] pid with
+                  | 0, _ ->
+                      if Unix.gettimeofday () < deadline then begin
+                        Unix.sleepf 0.02;
+                        drain ()
                       end
-                  | Error msg -> (
-                      Option.iter close_out tr_oc;
-                      B.Durable.close d;
-                      match B.state b with
-                      | B.Halted _ ->
-                          Printf.eprintf
-                            "error: beacon halted — refusing to vend \
-                             possibly-biased randomness.\n%s\n"
-                            msg;
-                          exit 5
-                      | _ ->
-                          Printf.eprintf "error: epoch close failed — %s\n"
-                            msg;
-                          exit 1));
-                  if
-                    snapshot_every > 0
-                    && B.next_seq b mod snapshot_every = 0
-                    && B.next_seq b < target
-                  then B.Durable.snapshot d
-                done;
-                Option.iter close_out tr_oc;
-                B.Durable.snapshot d;
-                B.Durable.close d;
-                self_verify b;
-                print_status b
-              end
-            in
-            if not supervise then serve_once ~fresh ()
-            else begin
-              (* PR 7's escalation discipline, applied to the serve
-                 loop: SIGTERM to the supervisor forwards to the child
-                 with a grace window, then SIGKILL; a killed child is
-                 restarted under the budget with exponential backoff
-                 that resets whenever the incarnation made durable
-                 progress. *)
-              let child = ref None in
-              let term _ =
-                (match !child with
-                | None -> ()
-                | Some pid ->
-                    (try Unix.kill pid Sys.sigterm
-                     with Unix.Unix_error _ -> ());
-                    let deadline = Unix.gettimeofday () +. 2.0 in
-                    let rec drain () =
-                      match Unix.waitpid [ Unix.WNOHANG ] pid with
-                      | 0, _ ->
-                          if Unix.gettimeofday () < deadline then begin
-                            Unix.sleepf 0.02;
-                            drain ()
-                          end
-                          else begin
-                            (try Unix.kill pid Sys.sigkill
-                             with Unix.Unix_error _ -> ());
-                            ignore (Unix.waitpid [] pid)
-                          end
-                      | _ -> ()
-                      | exception Unix.Unix_error _ -> ()
-                    in
-                    drain ());
-                exit 143
-              in
-              Sys.set_signal Sys.sigterm (Sys.Signal_handle term);
-              let progress () =
-                let size p =
-                  try (Unix.stat p).Unix.st_size
-                  with Unix.Unix_error _ -> -1
+                      else begin
+                        (try Unix.kill pid Sys.sigkill
+                         with Unix.Unix_error _ -> ());
+                        ignore (Unix.waitpid [] pid)
+                      end
+                  | _ -> ()
+                  | exception Unix.Unix_error _ -> ()
                 in
-                (size jpath, size state_file)
-              in
-              let rec loop ~fresh ~used ~streak =
-                let before = progress () in
-                match Unix.fork () with
-                | 0 ->
-                    Sys.set_signal Sys.sigterm Sys.Signal_default;
-                    serve_once ~fresh ();
-                    exit 0
-                | pid -> (
-                    child := Some pid;
-                    let _, st = Unix.waitpid [] pid in
-                    child := None;
-                    match st with
-                    | Unix.WEXITED 0 -> ()
-                    | Unix.WEXITED c ->
-                        (* Deterministic refusals (corrupt state, safe
-                           mode, bad args) do not heal by restarting. *)
-                        Printf.eprintf
-                          "error: supervised beacon exited %d; not \
-                           restartable\n"
-                          c;
-                        exit c
-                    | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
-                        if used >= restarts then begin
-                          Printf.eprintf
-                            "error: restart budget (%d) exhausted\n" restarts;
-                          exit 1
-                        end;
-                        let streak =
-                          if progress () <> before then 0 else streak + 1
-                        in
-                        let delay =
-                          min 2.0 (0.05 *. (2. ** float_of_int streak))
-                        in
-                        Printf.printf
-                          "# supervised beacon died; restart %d/%d after \
-                           %.2fs\n%!"
-                          (used + 1) restarts delay;
-                        Unix.sleepf delay;
-                        loop ~fresh:false ~used:(used + 1) ~streak)
-              in
-              loop ~fresh ~used:0 ~streak:0
-            end)
+                drain ());
+            exit 143
+          in
+          Sys.set_signal Sys.sigterm (Sys.Signal_handle term);
+          let progress () =
+            let size p =
+              try (Unix.stat p).Unix.st_size
+              with Unix.Unix_error _ -> -1
+            in
+            (Option.map size journal, size state_file)
+          in
+          let rec loop ~fresh ~used ~streak =
+            let before = progress () in
+            match Unix.fork () with
+            | 0 ->
+                Sys.set_signal Sys.sigterm Sys.Signal_default;
+                serve_once ~fresh ();
+                exit 0
+            | pid -> (
+                child := Some pid;
+                let _, st = Unix.waitpid [] pid in
+                child := None;
+                match st with
+                | Unix.WEXITED 0 -> ()
+                | Unix.WEXITED c ->
+                    (* Deterministic refusals (corrupt state, safe
+                       mode, bad args) do not heal by restarting. *)
+                    Printf.eprintf
+                      "error: supervised beacon exited %d; not \
+                       restartable\n"
+                      c;
+                    exit c
+                | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+                    if used >= restarts then begin
+                      Printf.eprintf
+                        "error: restart budget (%d) exhausted\n" restarts;
+                      exit 1
+                    end;
+                    let streak =
+                      if progress () <> before then 0 else streak + 1
+                    in
+                    let delay =
+                      min 2.0 (0.05 *. (2. ** float_of_int streak))
+                    in
+                    Printf.printf
+                      "# supervised beacon died; restart %d/%d after \
+                       %.2fs\n%!"
+                      (used + 1) restarts delay;
+                    Unix.sleepf delay;
+                    loop ~fresh:false ~used:(used + 1) ~streak)
+          in
+          loop ~fresh ~used:0 ~streak:0
+        end)
   in
   let info =
     Cmd.info "beacon"
@@ -1562,40 +1542,24 @@ let recover_cmd =
              (exit 7 on failure).")
   in
   let run () seed t state_file journal export key =
-    let n = n_for t in
-    let sentinel = Some Sentinel.passive in
     let b =
-      if Sys.file_exists state_file then begin
-        match
-          B.load ~key ~sentinel ~prng:(Prng.of_int seed) ~batch_size:32
-            ~refill_threshold:3
-            (Bytes.of_string (read_file state_file))
-        with
-        | b ->
-            Printf.printf "# snapshot %s: next epoch %d, head %s\n" state_file
-              (B.next_seq b)
-              (Beacon_hash.to_hex (B.head b));
-            b
-        | exception B.Corrupt_snapshot msg ->
-            Printf.eprintf "error: snapshot %s is corrupt: %s\n" state_file msg;
-            exit 1
-      end
-      else begin
-        Printf.printf "# no snapshot at %s; recovering from the journal alone\n"
-          state_file;
-        B.create ~key ~pool:(beacon_pool ~sentinel ~seed ~n ~t ()) ()
-      end
+      load_or_genesis ~fresh:false ~expect_head:None ~key ~seed ~t state_file
+        ~restored:(fun b ->
+          Printf.printf "# snapshot %s: next epoch %d, head %s\n" state_file
+            (B.next_seq b)
+            (Beacon_hash.to_hex (B.head b)))
+        ~corrupt:(fun msg ->
+          Printf.eprintf "error: snapshot %s is corrupt: %s\n" state_file msg)
+        ~genesis:(fun () ->
+          Printf.printf
+            "# no snapshot at %s; recovering from the journal alone\n"
+            state_file)
     in
     let d, rs =
-      match B.Durable.attach ~journal ~snapshot:state_file b with
-      | r -> r
-      | exception Beacon_journal.Corrupt_journal msg ->
-          Printf.eprintf
-            "error: journal is damaged beyond the torn tail: %s\n\
-             The journal cannot be trusted past this point; restore from a \
-             trusted snapshot and transcript.\n"
-            msg;
-          exit 1
+      attach_or_exit ~journal ~snapshot:state_file b
+        ~hint:
+          "The journal cannot be trusted past this point; restore from a \
+           trusted snapshot and transcript."
     in
     B.Durable.close d;
     let replayed = rs.B.Durable.replayed in
@@ -1606,12 +1570,8 @@ let recover_cmd =
       (B.next_seq b)
       (Beacon_hash.to_hex (B.head b))
       (List.length replayed) rs.B.Durable.deduped rs.B.Durable.torn_bytes;
-    (match B.verify_chain ~key replayed with
-    | Ok () -> ()
-    | Error msg ->
-        Printf.eprintf
-          "error: replayed journal window fails verification: %s\n" msg;
-        exit 7);
+    verify_or_exit ~key ~failure:"replayed journal window fails verification"
+      replayed;
     Option.iter
       (fun path ->
         let buf = Buffer.create 4096 in
@@ -1620,7 +1580,7 @@ let recover_cmd =
             Buffer.add_string buf (B.epoch_to_json e);
             Buffer.add_char buf '\n')
           replayed;
-        write_file path (Buffer.to_bytes buf);
+        Beacon_journal.write_file_atomic path (Buffer.to_bytes buf);
         Printf.printf "# exported %d epoch(s) to %s\n" (List.length replayed)
           path)
       export
@@ -1709,9 +1669,7 @@ let loadgen_cmd =
       Printf.eprintf "error: --rate must be positive\n";
       exit 2
     end;
-    let n = n_for t in
-    let pool = beacon_pool ~sentinel:(Some Sentinel.passive) ~seed ~n ~t () in
-    let b = B.create ~key ~max_pending ~pool () in
+    let b = B.create ~key ~max_pending ~pool:(beacon_pool ~seed ~t) () in
     let arr =
       match arrival with
       | `Poisson -> B.Arrival.poisson ~rate ~seed:(seed + 1)
@@ -1747,14 +1705,7 @@ let loadgen_cmd =
       done;
       match B.close_epoch b with
       | Ok _ -> ()
-      | Error msg -> (
-          match B.state b with
-          | B.Halted _ ->
-              Printf.eprintf "error: beacon halted mid-run — %s\n" msg;
-              exit 5
-          | _ ->
-              Printf.eprintf "error: epoch close failed — %s\n" msg;
-              exit 1)
+      | Error msg -> close_failed ~halted:"beacon halted mid-run — " b msg
     done;
     let elapsed = Unix.gettimeofday () -. t_start in
     let s = B.stats b in
@@ -1811,14 +1762,10 @@ let loadgen_cmd =
     let ps = B.P.stats (B.pool b) in
     Printf.printf "# pool: refills=%d refill_attempts=%d backoff_rounds=%d\n"
       ps.B.P.refills ps.B.P.refill_attempts ps.B.P.backoff_rounds;
-    match B.verify_chain ~key chain with
-    | Ok () ->
-        Printf.printf "# chain: verified %d epoch(s) | head %s\n"
-          (List.length chain)
-          (Beacon_hash.to_hex (B.head b))
-    | Error msg ->
-        Printf.eprintf "error: chain verification failed: %s\n" msg;
-        exit 7
+    verify_or_exit ~key ~failure:"chain verification failed" chain;
+    Printf.printf "# chain: verified %d epoch(s) | head %s\n"
+      (List.length chain)
+      (Beacon_hash.to_hex (B.head b))
   in
   let info =
     Cmd.info "loadgen"

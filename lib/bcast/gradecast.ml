@@ -25,6 +25,49 @@ let best_supported ~equal received =
   in
   scan None 0 received
 
+(* Round 3: re-echo a value only with n - t second-round support. *)
+let choose ~equal ~n ~t echoes =
+  match best_supported ~equal echoes with
+  | Some v, c when c >= n - t -> Some v
+  | _ -> None
+
+(* Output grading from the third-round echoes. *)
+let grade ~equal ~n ~t echoes =
+  match best_supported ~equal echoes with
+  | Some v, c when c >= n - t -> { value = Some v; confidence = 2 }
+  | Some v, c when c >= t + 1 -> { value = Some v; confidence = 1 }
+  | _ -> { value = None; confidence = 0 }
+
+(* Ledger evidence against one dealer, from every player's outcome for
+   it. Two different confidence >= 1 values is equivocation: each
+   carried t + 1 third-round echoes, and an honest echo needed n - t
+   second-round support — impossible for two values from one honest
+   dealer, whatever up to t followers do. Grade 0 at t + 1 players
+   likewise cannot happen to an honest dealer under the retransmit
+   envelope: only crashed receivers (at most t) void their inboxes. *)
+let dealer_evidence ~equal ~n ~t dealer outcome_at =
+  let votes =
+    List.filter_map
+      (fun i ->
+        let o = outcome_at i in
+        if o.confidence >= 1 then o.value else None)
+      (List.init n Fun.id)
+  in
+  let equivocated =
+    match votes with
+    | [] -> false
+    | v :: rest -> List.exists (fun w -> not (equal v w)) rest
+  in
+  let zeroes =
+    List.length
+      (List.filter
+         (fun i -> (outcome_at i).confidence = 0)
+         (List.init n Fun.id))
+  in
+  if equivocated then [ (dealer, Sentinel.Equivocation) ]
+  else if zeroes >= t + 1 then [ (dealer, Sentinel.Grade_zero) ]
+  else []
+
 let run_all ?(dealer_behavior = fun _ -> Dealer_honest)
     ?(follower_behavior = fun _ -> Follower_honest) ~equal ~byte_size ~n ~t
     ~values () =
@@ -84,57 +127,26 @@ let run_all ?(dealer_behavior = fun _ -> Dealer_honest)
   let choices =
     Array.init n (fun i ->
         Array.init n (fun d ->
-            let echoes =
-              List.filter_map (fun (_, msg) -> msg.(d)) inbox2.(i)
-            in
-            match best_supported ~equal echoes with
-            | Some v, c when c >= n - t -> Some v
-            | _ -> None))
+            choose ~equal ~n ~t
+              (List.filter_map (fun (_, msg) -> msg.(d)) inbox2.(i))))
   in
   let inbox3 = echo_round 3 choices in
   let outcomes =
     Array.init n (fun i ->
         Array.init n (fun d ->
-            let echoes = List.filter_map (fun (_, msg) -> msg.(d)) inbox3.(i) in
-            match best_supported ~equal echoes with
-            | Some v, c when c >= n - t -> { value = Some v; confidence = 2 }
-            | Some v, c when c >= t + 1 -> { value = Some v; confidence = 1 }
-            | _ -> { value = None; confidence = 0 }))
+            grade ~equal ~n ~t
+              (List.filter_map (fun (_, msg) -> msg.(d)) inbox3.(i))))
   in
-  (* Ledger evidence per dealer slot. Two different confidence >= 1
-     values is equivocation: each carried t + 1 third-round echoes, and
-     an honest echo needed n - t second-round support — impossible for
-     two values from one honest dealer, whatever up to t followers do.
-     Grade 0 at t + 1 players likewise cannot happen to an honest dealer
-     under the retransmit envelope: only crashed receivers (at most t)
-     void their inboxes. *)
   Sentinel.observe (fun () ->
       List.concat_map
-        (fun d ->
-          let votes =
-            List.filter_map
-              (fun i ->
-                let o = outcomes.(i).(d) in
-                if o.confidence >= 1 then o.value else None)
-              (List.init n Fun.id)
-          in
-          let equivocated =
-            match votes with
-            | [] -> false
-            | v :: rest -> List.exists (fun w -> not (equal v w)) rest
-          in
-          let zeroes =
-            List.length
-              (List.filter
-                 (fun i -> outcomes.(i).(d).confidence = 0)
-                 (List.init n Fun.id))
-          in
-          if equivocated then [ (d, Sentinel.Equivocation) ]
-          else if zeroes >= t + 1 then [ (d, Sentinel.Grade_zero) ]
-          else [])
+        (fun d -> dealer_evidence ~equal ~n ~t d (fun i -> outcomes.(i).(d)))
         (List.init n Fun.id));
   outcomes
 
+(* [run] is not [run_all] with every other dealer silent: there an
+   honest follower with no choice still sends an all-empty vector where
+   here it sends nothing, and [run_all] ticks n grade-casts rather than
+   one — so message counts and [Metrics] ticks would both change. *)
 let run ?(dealer_behavior = Dealer_honest)
     ?(follower_behavior = fun _ -> Follower_honest) ~equal ~byte_size ~n ~t
     ~dealer ~value () =
@@ -184,11 +196,7 @@ let run ?(dealer_behavior = Dealer_honest)
   in
   (* Round 3: re-echo a value supported by at least n - t first echoes. *)
   let choices =
-    Array.init n (fun i ->
-        let echoes = List.map snd inbox2.(i) in
-        match best_supported ~equal echoes with
-        | Some v, c when c >= n - t -> Some v
-        | _ -> None)
+    Array.init n (fun i -> choose ~equal ~n ~t (List.map snd inbox2.(i)))
   in
   let inbox3 =
     Transport.exchange net ~send:(fun () ->
@@ -197,33 +205,8 @@ let run ?(dealer_behavior = Dealer_honest)
         done)
   in
   let outcomes =
-    Array.init n (fun i ->
-        let echoes = List.map snd inbox3.(i) in
-        match best_supported ~equal echoes with
-        | Some v, c when c >= n - t -> { value = Some v; confidence = 2 }
-        | Some v, c when c >= t + 1 -> { value = Some v; confidence = 1 }
-        | _ -> { value = None; confidence = 0 })
+    Array.init n (fun i -> grade ~equal ~n ~t (List.map snd inbox3.(i)))
   in
   Sentinel.observe (fun () ->
-      let votes =
-        List.filter_map
-          (fun i ->
-            let o = outcomes.(i) in
-            if o.confidence >= 1 then o.value else None)
-          (List.init n Fun.id)
-      in
-      let equivocated =
-        match votes with
-        | [] -> false
-        | v :: rest -> List.exists (fun w -> not (equal v w)) rest
-      in
-      let zeroes =
-        List.length
-          (List.filter
-             (fun i -> outcomes.(i).confidence = 0)
-             (List.init n Fun.id))
-      in
-      if equivocated then [ (dealer, Sentinel.Equivocation) ]
-      else if zeroes >= t + 1 then [ (dealer, Sentinel.Grade_zero) ]
-      else []);
+      dealer_evidence ~equal ~n ~t dealer (fun i -> outcomes.(i)));
   outcomes

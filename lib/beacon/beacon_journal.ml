@@ -76,14 +76,7 @@ end
 
 let magic = 0xBEA2
 let version = 1
-let header_len = 3
-let frame_len = 8 (* u32 length + u32 crc *)
-
-let header_bytes () =
-  let w = Wire.Writer.create () in
-  Wire.Writer.u16 w magic;
-  Wire.Writer.u8 w version;
-  Wire.Writer.contents w
+let header_bytes () = Wire.Envelope.header ~magic ~version
 
 (* ---------------------------- writing ----------------------------- *)
 
@@ -130,15 +123,11 @@ let append w body =
   let payload = Wire.Writer.create () in
   Wire.Writer.u32 payload w.next_record_seq;
   Wire.Writer.raw payload body;
-  let payload = Wire.Writer.contents payload in
-  let frame = Wire.Writer.create () in
-  Wire.Writer.u32 frame (Bytes.length payload);
-  Wire.Writer.u32 frame (Wire.Crc32.digest payload);
-  Wire.Writer.raw frame payload;
   (* One write for the whole record: a crash splits it at a byte
      offset, never interleaves. The record seq is claimed only after
      the bytes are down, so a crashed append leaves it unconsumed. *)
-  Crash_point.guarded_write w.fd (Wire.Writer.contents frame);
+  Crash_point.guarded_write w.fd
+    (Wire.Envelope.frame (Wire.Writer.contents payload));
   w.next_record_seq <- w.next_record_seq + 1;
   maybe_fsync w
 
@@ -151,92 +140,64 @@ type recovery = {
   torn_bytes : int;
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let b = Bytes.create len in
-      really_input ic b 0 len;
-      b)
-
-let u32_at data pos =
-  Bytes.get_uint16_le data pos lor (Bytes.get_uint16_le data (pos + 2) lsl 16)
-
 let recover jpath =
+  let finish ~valid_len ~next_record_seq records torn_bytes =
+    { records = List.rev records; next_record_seq; valid_len; torn_bytes }
+  in
   if not (Sys.file_exists jpath) then
-    { records = []; next_record_seq = 0; valid_len = 0; torn_bytes = 0 }
-  else begin
-    let data = read_file jpath in
+    finish ~valid_len:0 ~next_record_seq:0 [] 0
+  else
+    let data =
+      Bytes.of_string (In_channel.with_open_bin jpath In_channel.input_all)
+    in
     let size = Bytes.length data in
-    if size < header_len then
-      (* The crash landed inside the initial header write: nothing was
-         ever durable, so the whole file is the torn tail. *)
-      { records = []; next_record_seq = 0; valid_len = 0; torn_bytes = size }
-    else begin
-      if Bytes.get_uint16_le data 0 <> magic then
-        corrupt "not a beacon journal (bad magic) [bytes=%d]" size;
-      let v = Bytes.get_uint8 data 2 in
-      if v <> version then corrupt "unsupported journal version %d" v;
-      let records = ref [] in
-      let seq = ref 0 in
-      let pos = ref header_len in
-      let torn = ref 0 in
-      (* A frame that runs past end-of-file, or a checksum failure on
-         the record that ends exactly at end-of-file, is a torn write:
-         only the final append can be cut short by a crash. The same
-         failures with bytes after them cannot be torn and are fatal. *)
-      (try
-         while !pos < size do
-           if size - !pos < frame_len then begin
-             torn := size - !pos;
-             raise Exit
-           end;
-           let len = u32_at data !pos in
-           if size - !pos - frame_len < len then begin
-             torn := size - !pos;
-             raise Exit
-           end;
-           let crc = u32_at data (!pos + 4) in
-           let payload = Bytes.sub data (!pos + frame_len) len in
-           if Wire.Crc32.digest payload <> crc then
-             if !pos + frame_len + len = size then begin
-               torn := size - !pos;
-               raise Exit
-             end
-             else
-               corrupt
-                 "record %d at offset %d: checksum mismatch with %d bytes \
-                  following — mid-journal corruption, not a torn tail"
-                 !seq !pos
-                 (size - !pos - frame_len - len);
-           if len < 4 then
-             corrupt "record %d at offset %d: intact but only %d bytes long"
-               !seq !pos len;
-           let rseq = u32_at payload 0 in
-           if rseq <> !seq then
-             corrupt
-               "record sequence gap at offset %d: expected record %d, found \
-                %d"
-               !pos !seq rseq;
-           records := Bytes.sub payload 4 (len - 4) :: !records;
-           incr seq;
-           pos := !pos + frame_len + len
-         done
-       with Exit -> ());
-      {
-        records = List.rev !records;
-        next_record_seq = !seq;
-        valid_len = !pos;
-        torn_bytes = !torn;
-      }
-    end
-  end
+    (* A frame that runs past end-of-file, or a checksum failure on the
+       record that ends exactly at end-of-file, is a torn write: only
+       the final append can be cut short by a crash. The same failures
+       with bytes after them cannot be torn and are fatal. *)
+    let rec scan pos seq records =
+      let torn () =
+        finish ~valid_len:pos ~next_record_seq:seq records (size - pos)
+      in
+      if pos >= size then torn ()
+      else
+        match Wire.Envelope.parse_frame data pos with
+        | Short -> torn ()
+        | Bad_checksum { next } when next = size -> torn ()
+        | Bad_checksum { next } ->
+            corrupt
+              "record %d at offset %d: checksum mismatch with %d bytes \
+               following — mid-journal corruption, not a torn tail"
+              seq pos (size - next)
+        | Intact { payload; next } ->
+            let len = Bytes.length payload in
+            if len < 4 then
+              corrupt "record %d at offset %d: intact but only %d bytes long"
+                seq pos len;
+            let r = Wire.Reader.of_bytes payload in
+            let rseq = Wire.Reader.u32 r in
+            if rseq <> seq then
+              corrupt
+                "record sequence gap at offset %d: expected record %d, found \
+                 %d"
+                pos seq rseq;
+            scan next (seq + 1) (Wire.Reader.raw r (len - 4) :: records)
+    in
+    match
+      Wire.Envelope.read_header ~magic ~readable:(version, version) data
+    with
+    | Ok _ -> scan Wire.Envelope.header_len 0 []
+    | Error Wire.Envelope.Truncated_header ->
+        (* The crash landed inside the initial header write: nothing was
+           ever durable, so the whole file is the torn tail. *)
+        finish ~valid_len:0 ~next_record_seq:0 [] size
+    | Error (Wire.Envelope.Unsupported_version v) ->
+        corrupt "unsupported journal version %d" v
+    | Error _ -> corrupt "not a beacon journal (bad magic) [bytes=%d]" size
 
 let open_append ?(sync = Fsync) jpath =
   let r = recover jpath in
-  if r.valid_len < header_len then
+  if r.valid_len < Wire.Envelope.header_len then
     (* New file, or the header itself was torn: start clean. *)
     (r, create ~sync jpath)
   else begin

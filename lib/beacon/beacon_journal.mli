@@ -1,10 +1,10 @@
 (** Write-ahead epoch journal for the beacon's durability layer.
 
-    A journal is a byte file: a 3-byte header (magic, version), then a
-    run of records, each framed as a u32 payload length, a u32 CRC-32
-    of the payload, and the payload itself — whose first four bytes are
-    a record sequence number that must run contiguously from the value
-    the file was created with. The framing is what makes recovery
+    A journal is a {!Wire.Envelope} header (magic [0xBEA2], version 1)
+    followed by a run of envelope frames (u32 payload length, u32
+    CRC-32, payload), one per record. Each payload's first four bytes
+    are a record sequence number that must run contiguously from the
+    value the file was created with. The framing is what makes recovery
     decidable: a crash mid-append leaves a {e torn tail} (a final
     record whose frame or checksum does not close), which {!recover}
     detects and drops; damage anywhere {e before} the tail cannot be a

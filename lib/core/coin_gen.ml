@@ -260,17 +260,14 @@ module Make (F : Field_intf.S) = struct
           (List.init n Fun.id));
     let cliques =
       Array.init n (fun i ->
+          (* Edge j -> k iff k's gamma lies on dealer j's decoded check
+             polynomial: exactly the support bitmap [decode_check]
+             returned (all-false when nothing decoded). *)
           let dg = Player_graph.directed_create ~n in
           for j = 0 to n - 1 do
-            match fst checks.(i).(j) with
-            | None -> ()
-            | Some fj ->
-                for k = 0 to n - 1 do
-                  match gammas.(i).(k).(j) with
-                  | Some v when F.equal (P.eval fj (S.eval_point k)) v ->
-                      Player_graph.add_edge dg j k
-                  | Some _ | None -> ()
-                done
+            Array.iteri
+              (fun k ok -> if ok then Player_graph.add_edge dg j k)
+              (snd checks.(i).(j))
           done;
           let ug = Player_graph.bidirectional_core dg in
           Player_graph.approx_clique ug ~min_size:(n - (2 * t)))

@@ -79,6 +79,81 @@ module Crc32 = struct
     !crc lxor 0xFFFFFFFF
 end
 
+module Envelope = struct
+  type corruption =
+    | Truncated_header
+    | Bad_magic
+    | Unsupported_version of int
+    | Length_mismatch
+    | Checksum_mismatch
+
+  let describe = function
+    | Truncated_header -> "truncated header"
+    | Bad_magic -> "bad magic"
+    | Unsupported_version v -> Printf.sprintf "unsupported version %d" v
+    | Length_mismatch -> "payload length mismatch"
+    | Checksum_mismatch -> "checksum mismatch"
+
+  let header_len = 3
+  let frame_overhead = 8 (* u32 length + u32 crc *)
+
+  let header ~magic ~version =
+    let w = Writer.create () in
+    Writer.u16 w magic;
+    Writer.u8 w version;
+    Writer.contents w
+
+  let frame payload =
+    let w = Writer.create () in
+    Writer.u32 w (Bytes.length payload);
+    Writer.u32 w (Crc32.digest payload);
+    Writer.raw w payload;
+    Writer.contents w
+
+  type parsed =
+    | Short
+    | Bad_checksum of { next : int }
+    | Intact of { payload : bytes; next : int }
+
+  let u32_at b pos =
+    Bytes.get_uint16_le b pos lor (Bytes.get_uint16_le b (pos + 2) lsl 16)
+
+  let parse_frame b pos =
+    let size = Bytes.length b in
+    if size - pos < frame_overhead then Short
+    else
+      let len = u32_at b pos in
+      let next = pos + frame_overhead + len in
+      if next > size then Short
+      else
+        let payload = Bytes.sub b (pos + frame_overhead) len in
+        if Crc32.digest payload <> u32_at b (pos + 4) then Bad_checksum { next }
+        else Intact { payload; next }
+
+  let read_header ~magic ~readable:(lo, hi) b =
+    if Bytes.length b < header_len then Error Truncated_header
+    else if Bytes.get_uint16_le b 0 <> magic then Error Bad_magic
+    else
+      let v = Bytes.get_uint8 b 2 in
+      if v < lo || v > hi then Error (Unsupported_version v) else Ok v
+
+  let seal ~magic ~version payload =
+    Bytes.cat (header ~magic ~version) (frame payload)
+
+  let open_ ~magic ~readable b =
+    let size = Bytes.length b in
+    if size < header_len + frame_overhead then Error Truncated_header
+    else
+      match read_header ~magic ~readable b with
+      | Error _ as e -> e
+      | Ok _ when size <> header_len + frame_overhead + u32_at b header_len ->
+          Error Length_mismatch
+      | Ok version -> (
+          match parse_frame b header_len with
+          | Intact { payload; _ } -> Ok (version, payload)
+          | Short | Bad_checksum _ -> Error Checksum_mismatch)
+end
+
 module Codec (F : Field_intf.S) = struct
   let write_elt w x = Writer.raw w (F.to_bytes x)
   let read_elt r = F.of_bytes (Reader.raw r F.byte_size)

@@ -40,9 +40,51 @@ end
 
 module Crc32 : sig
   val digest : bytes -> int
-  (** CRC-32 (IEEE 802.3) of the whole buffer, in [[0, 2^32)]. Used to
-      checksum persisted pool snapshots so corruption is detected before
-      decoding. *)
+  (** CRC-32 (IEEE 802.3) of the whole buffer, in [[0, 2^32)]. *)
+end
+
+(** The one on-disk envelope: a header of magic (u16) and version (u8),
+    then frames of u32 payload length, u32 CRC-32 of the payload, and
+    the payload. A sealed file ({!Envelope.seal}) is a header and
+    exactly one frame; a journal is a header and any number of appended
+    frames. *)
+module Envelope : sig
+  type corruption =
+    | Truncated_header
+    | Bad_magic
+    | Unsupported_version of int
+    | Length_mismatch
+    | Checksum_mismatch
+
+  val describe : corruption -> string
+  (** The diagnostic text, e.g. ["payload length mismatch"]. *)
+
+  val seal : magic:int -> version:int -> bytes -> bytes
+
+  val open_ :
+    magic:int -> readable:int * int -> bytes -> (int * bytes, corruption) result
+  (** Check a {!seal}ed file whose version must lie in [readable]
+      (inclusive) and return [(version, payload)]. Checks run header
+      first, then the exact length, then the checksum. *)
+
+  val header_len : int
+  val header : magic:int -> version:int -> bytes
+
+  val read_header :
+    magic:int -> readable:int * int -> bytes -> (int, corruption) result
+  (** The version in the header at offset 0; [Truncated_header] when
+      fewer than {!header_len} bytes exist. *)
+
+  val frame : bytes -> bytes
+
+  type parsed =
+    | Short  (** the frame runs past the end of the bytes *)
+    | Bad_checksum of { next : int }
+    | Intact of { payload : bytes; next : int }
+        (** [next] is the offset just past the frame *)
+
+  val parse_frame : bytes -> int -> parsed
+  (** Parse the frame starting at the given offset. *)
 end
 
 module Codec (F : Field_intf.S) : sig

@@ -496,6 +496,49 @@ let test_harness_sweep () =
       Alcotest.(check int) "every run converged to the full chain" 3
         r.BC.Harness.epochs
 
+(* --- byte identity of every persisted format ------------------------ *)
+
+(* The deployed configuration's pool snapshot, beacon snapshot, rotated
+   snapshot file and journal, pinned by length and CRC-32 to the bytes
+   the format has always produced: any change to the envelope, the
+   payload layouts or the journal framing shows up here. *)
+let test_persisted_bytes_pinned () =
+  in_scratch "pinned" @@ fun dir ->
+  let module F32 = Gf2k.GF32 in
+  let module B32 = Beacon.Make (F32) in
+  let pool =
+    B32.P.create ~sentinel:(Some Sentinel.passive) ~prng:(Prng.of_int 7) ~n:13
+      ~t:2 ~batch_size:32 ~refill_threshold:3 ~initial_seed:6 ()
+  in
+  let b = B32.create ~pool () in
+  let journal = Filename.concat dir "j" in
+  let snapshot = Filename.concat dir "s" in
+  let d, _ = B32.Durable.attach ~journal ~snapshot ~sync:J.Flush_only b in
+  for close = 1 to 40 do
+    for _ = 1 to 3 do
+      ignore (B32.Durable.request d ~callback:ignore ())
+    done;
+    ignore (ok_or_fail (B32.Durable.close_epoch d));
+    if close = 20 then B32.Durable.snapshot d
+  done;
+  B32.Durable.close d;
+  let pin what ~len ~crc bytes =
+    Alcotest.(check (pair int string))
+      what (len, crc)
+      (Bytes.length bytes, Printf.sprintf "%08x" (Wire.Crc32.digest bytes))
+  in
+  let file p =
+    Bytes.of_string (In_channel.with_open_bin p In_channel.input_all)
+  in
+  pin "pool snapshot" ~len:2580 ~crc:"0bd5e911" (B32.P.save pool);
+  pin "beacon snapshot" ~len:2639 ~crc:"5a05dcac" (B32.save b);
+  pin "snapshot file" ~len:1789 ~crc:"bd43b877" (file snapshot);
+  pin "journal file" ~len:2324 ~crc:"9fd781cb" (file journal);
+  let r = J.recover journal in
+  Alcotest.(check (list int))
+    "journal recovery" [ 20; 2324; 0 ]
+    [ List.length r.J.records; r.J.valid_len; r.J.torn_bytes ]
+
 let suite =
   [
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
@@ -523,4 +566,6 @@ let suite =
     Alcotest.test_case "recovery degrades on starvation" `Quick
       test_recovery_degrades_on_starvation;
     Alcotest.test_case "crash-point harness sweep" `Quick test_harness_sweep;
+    Alcotest.test_case "persisted bytes pinned" `Quick
+      test_persisted_bytes_pinned;
   ]

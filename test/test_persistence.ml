@@ -1,6 +1,7 @@
 module F = Gf2k.GF16
 module C = Sealed_coin.Make (F)
 module PL = Pool.Make (F)
+module BC = Beacon.Make (F)
 module CE = Coin_expose.Make (F)
 
 let n = 13
@@ -64,7 +65,7 @@ let test_pool_save_restore () =
   let saved = PL.save p in
   let before = PL.stats p in
   let q =
-    PL.restore ~prng:(Prng.of_int 999) ~batch_size:16 ~refill_threshold:3 saved
+    PL.load ~prng:(Prng.of_int 999) ~batch_size:16 ~refill_threshold:3 saved
   in
   let after = PL.stats q in
   Alcotest.(check int) "available preserved" (PL.available p) (PL.available q);
@@ -93,6 +94,19 @@ let test_restore_validation () =
       Bytes.set_uint8 corrupted 0 0x00;
       ignore
         (PL.load ~prng:(Prng.of_int 1) ~batch_size:16 ~refill_threshold:3
+           corrupted));
+  (* The beacon snapshot shares the envelope, so its header-stage
+     diagnostics carry the byte count too. *)
+  let beacon_saved = BC.save (BC.create ~pool:p ()) in
+  Alcotest.check_raises "beacon bad magic"
+    (BC.Corrupt_snapshot
+       (Printf.sprintf "Beacon.load: bad magic [bytes=%d]"
+          (Bytes.length beacon_saved)))
+    (fun () ->
+      let corrupted = Bytes.copy beacon_saved in
+      Bytes.set_uint8 corrupted 0 0x00;
+      ignore
+        (BC.load ~prng:(Prng.of_int 1) ~batch_size:16 ~refill_threshold:3
            corrupted));
   (* Bad parameters alongside intact bytes stay Invalid_argument —
      distinct from corruption. *)
@@ -266,8 +280,6 @@ let test_pool_truncation_every_offset () =
       ~ctx:(Printf.sprintf "pool snapshot truncated to %d bytes" len)
       (Bytes.sub saved 0 len)
   done
-
-module BC = Beacon.Make (F)
 
 let make_beacon_snapshot seed =
   let pool =

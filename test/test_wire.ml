@@ -163,6 +163,82 @@ let test_frame_adversarial () =
     (Invalid_argument "Frame.encode: src 70000 out of u16 range") (fun () ->
       ignore (Frame.encode Frame.Msg ~src:70000 ~dst:0 ~uid:0 ~payload:Bytes.empty))
 
+(* --- the on-disk envelope ------------------------------------------- *)
+
+module E = Wire.Envelope
+
+let corruption = Alcotest.testable (Fmt.of_to_string E.describe) ( = )
+let envelope_result = Alcotest.(result (pair int bytes) corruption)
+
+let test_envelope_roundtrip () =
+  let payload = Bytes.of_string "sealed coins" in
+  let sealed = E.seal ~magic:0xBEEF ~version:2 payload in
+  Alcotest.(check int) "header + frame + payload" (3 + 8 + 12)
+    (Bytes.length sealed);
+  Alcotest.check envelope_result "opens" (Ok (2, payload))
+    (E.open_ ~magic:0xBEEF ~readable:(1, 3) sealed);
+  Alcotest.check envelope_result "empty payload" (Ok (1, Bytes.empty))
+    (E.open_ ~magic:0xBEEF ~readable:(1, 1)
+       (E.seal ~magic:0xBEEF ~version:1 Bytes.empty))
+
+let test_envelope_corruption () =
+  let sealed = E.seal ~magic:0xBEEF ~version:2 (Bytes.of_string "payload") in
+  let open_ b = E.open_ ~magic:0xBEEF ~readable:(2, 3) b in
+  let check what expected b =
+    Alcotest.check envelope_result what (Error expected) (open_ b)
+  in
+  for len = 0 to Bytes.length sealed - 1 do
+    check
+      (Printf.sprintf "prefix of %d bytes" len)
+      (if len < 11 then E.Truncated_header else E.Length_mismatch)
+      (Bytes.sub sealed 0 len)
+  done;
+  let mangle pos f =
+    let b = Bytes.copy sealed in
+    f b pos;
+    b
+  in
+  check "bad magic" E.Bad_magic (mangle 0 (fun b p -> Bytes.set_uint8 b p 0));
+  check "version below range" (E.Unsupported_version 1)
+    (mangle 2 (fun b p -> Bytes.set_uint8 b p 1));
+  check "version above range" (E.Unsupported_version 4)
+    (mangle 2 (fun b p -> Bytes.set_uint8 b p 4));
+  check "length field too short" E.Length_mismatch
+    (mangle 3 (fun b p -> Bytes.set_uint8 b p 6));
+  check "length field too long" E.Length_mismatch
+    (mangle 3 (fun b p -> Bytes.set_uint8 b p 8));
+  check "trailing byte" E.Length_mismatch (Bytes.cat sealed (Bytes.make 1 'x'));
+  check "checksum flip" E.Checksum_mismatch
+    (mangle 7 (fun b p -> Bytes.set_uint8 b p (Bytes.get_uint8 b p lxor 1)));
+  check "payload flip" E.Checksum_mismatch
+    (mangle 11 (fun b p -> Bytes.set_uint8 b p (Bytes.get_uint8 b p lxor 1)))
+
+let test_envelope_frames () =
+  let header = E.header ~magic:0xBEA2 ~version:1 in
+  Alcotest.(check int) "header length" E.header_len (Bytes.length header);
+  Alcotest.(check (result int corruption)) "header reads back" (Ok 1)
+    (E.read_header ~magic:0xBEA2 ~readable:(1, 1) header);
+  let a = E.frame (Bytes.of_string "first") in
+  let b = E.frame (Bytes.of_string "second") in
+  let log = Bytes.concat Bytes.empty [ header; a; b ] in
+  let describe = function
+    | E.Short -> "short"
+    | E.Bad_checksum { next } -> Printf.sprintf "bad checksum, next %d" next
+    | E.Intact { payload; next } ->
+        Printf.sprintf "intact %S, next %d" (Bytes.to_string payload) next
+  in
+  let parse what expected bytes pos =
+    Alcotest.(check string) what expected (describe (E.parse_frame bytes pos))
+  in
+  parse "first frame" "intact \"first\", next 16" log 3;
+  parse "second frame" "intact \"second\", next 30" log 16;
+  parse "at end" "short" log 30;
+  parse "cut inside the length" "short" (Bytes.sub log 0 18) 16;
+  parse "cut inside the payload" "short" (Bytes.sub log 0 29) 16;
+  let flipped = Bytes.copy log in
+  Bytes.set_uint8 flipped 10 (Bytes.get_uint8 flipped 10 lxor 0x80);
+  parse "payload flip" "bad checksum, next 16" flipped 3
+
 let test_payload_size_formula () =
   Alcotest.(check int) "empty" 4 (C.payload_size ~clique:[] ~poly_sizes:[]);
   Alcotest.(check int) "typical"
@@ -179,6 +255,10 @@ let suite =
     Alcotest.test_case "non-canonical rejected" `Quick test_non_canonical_rejected;
     Alcotest.test_case "payload size formula" `Quick test_payload_size_formula;
     Alcotest.test_case "frame adversarial inputs" `Quick test_frame_adversarial;
+    Alcotest.test_case "envelope roundtrip" `Quick test_envelope_roundtrip;
+    Alcotest.test_case "envelope corruption reasons" `Quick
+      test_envelope_corruption;
+    Alcotest.test_case "envelope frame parser" `Quick test_envelope_frames;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
