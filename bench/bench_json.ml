@@ -80,15 +80,22 @@ let mults_of f =
 (* Allocated words per op: exact allocation accounting (minor + major,
    [Gc.allocated_bytes] deltas), normalized per iteration. The op is
    warmed first so one-time table/cache fills are not charged to the
-   steady state the zero-alloc paths are gated on. *)
+   steady state the zero-alloc paths are gated on. On OCaml 5 the
+   counter folds minor-heap words in only at a minor collection, so
+   each read is preceded by one: without it the column records whether
+   a collection fell inside the window, not what the op allocates. *)
 let alloc_words_of iters f =
   ignore (f ());
   let words_per_byte = 1.0 /. float_of_int (Sys.word_size / 8) in
-  let before = Gc.allocated_bytes () in
+  let allocated () =
+    Gc.minor ();
+    Gc.allocated_bytes ()
+  in
+  let before = allocated () in
   for _ = 1 to iters do
     ignore (f ())
   done;
-  (Gc.allocated_bytes () -. before) *. words_per_byte /. float_of_int iters
+  (allocated () -. before) *. words_per_byte /. float_of_int iters
 
 let measure ~op ~field ~n ~t ~m ~iters ~naive ~plan =
   let naive_ns, plan_ns, delta_ns = time_pair iters naive plan in

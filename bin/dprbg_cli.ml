@@ -16,8 +16,8 @@
 *)
 
 module F = Gf2k.GF32
-module Pool = Pool.Make (F)
 module B = Beacon.Make (F)
+module Pool = B.P
 module CG = Pool.CG
 module CE = Pool.CE
 module V = Vss.Make (F)
@@ -45,6 +45,24 @@ let t_arg =
 
 let n_for t = (6 * t) + 1
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The deployed pool configuration: batch 32, refill threshold 3, six
+   initial seed coins. Every subcommand that draws protocol coins, and
+   the beacon's pool ([beacon_pool]), runs it. *)
+let batch_size = 32
+let refill_threshold = 3
+
+let deployed_pool ?sentinel ~prng ~n ~t () =
+  Pool.create ?sentinel ~prng ~n ~t ~batch_size ~refill_threshold
+    ~initial_seed:6 ()
+
+let load_deployed_pool ?sentinel ~prng bytes =
+  Pool.load ?sentinel ~prng ~batch_size ~refill_threshold bytes
+
+(* The transport and chaos campaigns' smaller pool: a refill every few
+   draws keeps every campaign iteration crossing the network. *)
+let campaign_pool ~prng ~n ~t =
+  Pool.create ~prng ~n ~t ~batch_size:8 ~refill_threshold ~initial_seed:4 ()
 
 let backend_conv =
   let parse s =
@@ -105,10 +123,7 @@ let coins_cmd =
     apply_transport_timeout timeout;
     Transport.with_backend transport @@ fun () ->
     let n = n_for t in
-    let pool =
-      Pool.create ~prng:(Prng.of_int seed) ~n ~t ~batch_size:32
-        ~refill_threshold:3 ~initial_seed:6 ()
-    in
+    let pool = deployed_pool ~prng:(Prng.of_int seed) ~n ~t () in
     if bits then begin
       for _ = 1 to count do
         print_char (if Pool.draw_bit pool then '1' else '0')
@@ -262,10 +277,7 @@ let agreement_cmd =
     Transport.with_backend transport @@ fun () ->
     let n = n_for t in
     let g = Prng.of_int seed in
-    let pool =
-      Pool.create ~prng:(Prng.split g) ~n ~t ~batch_size:32 ~refill_threshold:3
-        ~initial_seed:6 ()
-    in
+    let pool = deployed_pool ~prng:(Prng.split g) ~n ~t () in
     let ok = ref 0 in
     for i = 1 to rounds do
       let inputs = Array.init n (fun _ -> Prng.bool g) in
@@ -340,8 +352,7 @@ let pool_cmd =
     let pool =
       if (not fresh) && Sys.file_exists state_file then begin
         match
-          Pool.load ~sentinel ~prng:(Prng.of_int seed) ~batch_size:32
-            ~refill_threshold:3
+          load_deployed_pool ~sentinel ~prng:(Prng.of_int seed)
             (Bytes.of_string (read_file state_file))
         with
         | pool ->
@@ -357,8 +368,7 @@ let pool_cmd =
       end
       else begin
         Printf.printf "# bootstrapping a fresh pool (trusted dealer used once)\n";
-        Pool.create ~sentinel ~prng:(Prng.of_int seed) ~n ~t ~batch_size:32
-          ~refill_threshold:3 ~initial_seed:6 ()
+        deployed_pool ~sentinel ~prng:(Prng.of_int seed) ~n ~t ()
       end
     in
     let print_suspect_table () =
@@ -638,10 +648,7 @@ let trace_cmd =
           let n = n_for t in
           let (), trace =
             Trace.collect (fun () ->
-                let pool =
-                  Pool.create ~prng:(Prng.of_int seed) ~n ~t ~batch_size:32
-                    ~refill_threshold:3 ~initial_seed:6 ()
-                in
+                let pool = deployed_pool ~prng:(Prng.of_int seed) ~n ~t () in
                 for _ = 1 to draws do
                   ignore (Pool.draw_kary pool)
                 done)
@@ -721,10 +728,7 @@ let transport_cmd =
     let campaign ~seed () =
       let buf = Buffer.create 512 in
       let body () =
-        let pool =
-          Pool.create ~prng:(Prng.of_int seed) ~n ~t ~batch_size:8
-            ~refill_threshold:3 ~initial_seed:4 ()
-        in
+        let pool = campaign_pool ~prng:(Prng.of_int seed) ~n ~t in
         (match List.init draws (fun _ -> Pool.draw_kary pool) with
         | values ->
             List.iteri
@@ -877,10 +881,7 @@ let chaos_cmd =
       let buf = Buffer.create 512 in
       let plan = Transport.Plan.make ~crashes ~seed:((s * 17) + 3) () in
       let body () =
-        let pool =
-          Pool.create ~prng:(Prng.of_int s) ~n ~t ~batch_size:8
-            ~refill_threshold:3 ~initial_seed:4 ()
-        in
+        let pool = campaign_pool ~prng:(Prng.of_int s) ~n ~t in
         (match List.init draws (fun _ -> Pool.draw_kary pool) with
         | values ->
             List.iteri
@@ -1043,8 +1044,16 @@ let chaos_cmd =
 let beacon_sentinel = Some Sentinel.passive
 
 let beacon_pool ~seed ~t =
-  B.P.create ~sentinel:beacon_sentinel ~prng:(Prng.of_int seed) ~n:(n_for t)
-    ~t ~batch_size:32 ~refill_threshold:3 ~initial_seed:6 ()
+  deployed_pool ~sentinel:beacon_sentinel ~prng:(Prng.of_int seed)
+    ~n:(n_for t) ~t ()
+
+(* Up-front flag check: a bad --nbits exits 2 before any state file is
+   read, replaced or removed. *)
+let check_nbits = function
+  | Some k when k < 1 ->
+      Printf.eprintf "error: --nbits must be >= 1\n";
+      exit 2
+  | _ -> ()
 
 let verify_or_exit ~key ~failure epochs =
   match B.verify_chain ~key epochs with
@@ -1074,7 +1083,7 @@ let load_or_genesis ~fresh ~expect_head ~key ~seed ~t ~restored ~corrupt
   if (not fresh) && Sys.file_exists path then (
     match
       B.load ~key ?expect_head ~sentinel:beacon_sentinel
-        ~prng:(Prng.of_int seed) ~batch_size:32 ~refill_threshold:3
+        ~prng:(Prng.of_int seed) ~batch_size ~refill_threshold
         (Bytes.of_string (read_file path))
     with
     | b ->
@@ -1259,6 +1268,7 @@ let beacon_cmd =
              --chaos-kills <= --epochs\n";
           exit 2
         end;
+        check_nbits nbits;
         let restore_or_create ~fresh () =
           load_or_genesis ~fresh ~expect_head ~key ~seed ~t state_file
             ~restored:(fun b ->
@@ -1302,7 +1312,7 @@ let beacon_cmd =
             (Beacon_hash.to_hex (B.head b))
             s.B.epochs s.B.vended s.B.shed_queue_full s.B.shed_pool_pressure
             s.B.shed_halted
-            (B.P.available (B.pool b))
+            (Pool.available (B.pool b))
         in
         let kill_epochs =
           if chaos_kills > 0 then
@@ -1669,6 +1679,15 @@ let loadgen_cmd =
       Printf.eprintf "error: --rate must be positive\n";
       exit 2
     end;
+    check_nbits nbits;
+    if max_pending < 2 then begin
+      Printf.eprintf "error: --max-pending must be >= 2\n";
+      exit 2
+    end;
+    if arrival = `Bursty && not (burst >= 1. && burst <= 2.) then begin
+      Printf.eprintf "error: --burst must be in [1, 2]\n";
+      exit 2
+    end;
     let b = B.create ~key ~max_pending ~pool:(beacon_pool ~seed ~t) () in
     let arr =
       match arrival with
@@ -1759,9 +1778,9 @@ let loadgen_cmd =
        # vend latency: p50=%.0fns p99=%.0fns | wall %.3fs\n"
       arrival_name rate s.B.vended s.B.epochs draws_per_coin shed shed_rate p50
       p99 elapsed;
-    let ps = B.P.stats (B.pool b) in
+    let ps = Pool.stats (B.pool b) in
     Printf.printf "# pool: refills=%d refill_attempts=%d backoff_rounds=%d\n"
-      ps.B.P.refills ps.B.P.refill_attempts ps.B.P.backoff_rounds;
+      ps.Pool.refills ps.Pool.refill_attempts ps.Pool.backoff_rounds;
     verify_or_exit ~key ~failure:"chain verification failed" chain;
     Printf.printf "# chain: verified %d epoch(s) | head %s\n"
       (List.length chain)

@@ -2,7 +2,6 @@ module Make (F : Field_intf.S) = struct
   module P = Poly.Make (F)
   module S = Shamir.Make (F)
   module V = Vss.Make (F)
-  module BW = Berlekamp_welch.Make (F)
   module Codec = Wire.Codec (F)
 
   type dealer_behavior =
@@ -69,25 +68,17 @@ module Make (F : Field_intf.S) = struct
 
   (* Fig. 4 step 5: decode F through the gammas with >= n - t support. *)
   let decode_check ~n ~t gammas =
-    let points =
+    let shares =
       List.filter_map
-        (fun k -> Option.map (fun v -> (S.eval_point k, v)) gammas.(k))
+        (fun k -> Option.map (fun v -> (k, v)) gammas.(k))
         (List.init n Fun.id)
     in
-    let m_pts = List.length points in
-    if m_pts < n - t then (None, Array.make n false)
-    else
-      let e = (m_pts - t - 1) / 2 in
-      match BW.decode_with_support ~max_degree:t ~max_errors:e points with
-      | Some (f, support) when List.length support >= n - t ->
-          let in_support =
-            Array.init n (fun k ->
-                match gammas.(k) with
-                | Some v -> F.equal (P.eval f (S.eval_point k)) v
-                | None -> false)
-          in
-          (Some f, in_support)
-      | Some _ | None -> (None, Array.make n false)
+    let in_support = Array.make n false in
+    match S.robust_decode ~min_support:(n - t) ~t shares with
+    | Some (f, support) ->
+        List.iter (fun (k, _) -> in_support.(k) <- true) support;
+        (Some f, in_support)
+    | None -> (None, in_support)
 
   let run ?(dealer_behavior = Honest_dealer)
       ?(gamma_behavior = fun _ -> Honest_gamma) ~prng ~n ~t ~m ~dealer ~r () =

@@ -76,9 +76,11 @@ module Make (F : Field_intf.S) : sig
 
   val decode_check :
     n:int -> t:int -> F.t option array -> P.t option * bool array
-  (** Fig. 4 step 5 in isolation: Berlekamp–Welch over one player's
-      received [gamma]s, requiring [n - t] support. Exposed for
-      [Coin-Gen], which decodes one check polynomial per dealer. *)
+  (** Fig. 4 step 5 in isolation: {!Shamir.Make.robust_decode} with
+      [~min_support:(n - t)] over one player's received [gamma]s. The
+      bitmap marks the players whose gamma lies on the decoded
+      polynomial. Exposed for [Coin-Gen], which decodes one check
+      polynomial per dealer. *)
 
   val deal_matrix :
     dealer_behavior -> Prng.t -> n:int -> t:int -> m:int -> F.t array array option

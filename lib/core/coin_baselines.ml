@@ -1,16 +1,12 @@
 module Make (F : Field_intf.S) = struct
   module S = Shamir.Make (F)
-  module BW = Berlekamp_welch.Make (F)
 
   (* Robust reconstruction as each player performs it at exposure. *)
   let decode_per_player ~n ~t shares_by_sender =
     Array.init n (fun _ ->
-        let points =
-          List.init n (fun j -> (S.eval_point j, shares_by_sender.(j)))
-        in
-        let e = (n - t - 1) / 2 in
-        match BW.decode ~max_degree:t ~max_errors:e points with
-        | Some f -> BW.P.eval f F.zero
+        let shares = List.init n (fun j -> (j, shares_by_sender.(j))) in
+        match S.robust_decode ~min_support:(t + 1) ~t shares with
+        | Some (f, _) -> S.P.eval f F.zero
         | None -> assert false (* all shares honest in the baseline *))
 
   let from_scratch_coin g ~n ~t =

@@ -1,7 +1,6 @@
 module Make (F : Field_intf.S) = struct
   module C = Sealed_coin.Make (F)
   module S = Shamir.Make (F)
-  module P = Poly.Make (F)
   module BW = Berlekamp_welch.Make (F)
 
   type sender_behavior =
@@ -60,7 +59,9 @@ module Make (F : Field_intf.S) = struct
      differential tests in test/test_batch_kernels.ml) — but allocates
      a points list and a closure environment per player per exposure.
      Kept as the naive twin for equivalence tests and the bench
-     baseline. *)
+     baseline; its Berlekamp-Welch fallback stays inline rather than
+     going through [S.robust_decode], so the oracle does not share the
+     decoder [run] is checked on. *)
   let run_reference ?sender_behavior (coin : C.t) =
     Trace.span Trace.Protocol "coin-expose" @@ fun () ->
     let n = coin.C.n and t = coin.C.fault_bound in
@@ -223,11 +224,8 @@ module Make (F : Field_intf.S) = struct
               end)
             inbox.(i);
           let m = !len in
-          (* Degree-t reconstruction needs m >= t + 1 points; note
-             (m - t - 1) / 2 truncates toward zero, so at m = t it is 0,
-             not negative — guard on m, not on e. *)
-          let e = (m - t - 1) / 2 in
           let value =
+            (* Degree-t reconstruction needs m >= t + 1 points. *)
             if m <= t then begin
               if traced then
                 Trace.event (fun () ->
@@ -243,29 +241,26 @@ module Make (F : Field_intf.S) = struct
               | Some v -> Some v
               | None -> (
                   (* Cold path: some share is faulty or duplicated, so
-                     the list spine and eval_point mapping are paid only
-                     when the Berlekamp-Welch decoder actually runs. *)
-                  let mapped = ref [] in
+                     the share list is built only when the robust
+                     decoder actually runs. *)
+                  let shares = ref [] in
                   for k = m - 1 downto 0 do
-                    mapped := (ids.(k), (S.eval_point ids.(k), ys.(k))) :: !mapped
+                    shares := (ids.(k), ys.(k)) :: !shares
                   done;
-                  let mapped = !mapped in
-                  match
-                    BW.decode_with_support ~max_degree:t ~max_errors:e
-                      (List.map snd mapped)
-                  with
+                  let shares = !shares in
+                  match S.robust_decode ~min_support:(t + 1) ~t shares with
                   | None -> None
                   | Some (f, support) ->
-                      (* The support is a physical sublist of the mapped
-                         points, so [memq] recovers the error locators
-                         with no extra field arithmetic. *)
+                      (* The support is a physical sublist of [shares],
+                         so [memq] recovers the error locators with no
+                         extra field arithmetic. *)
                       if active then
                         List.iter
-                          (fun (j, pt) ->
-                            if not (List.memq pt support) then
+                          (fun ((j, _) as share) ->
+                            if not (List.memq share support) then
                               bad_votes.(j) <- bad_votes.(j) + 1)
-                          mapped;
-                      Some (BW.P.eval f F.zero))
+                          shares;
+                      Some (S.P.eval f F.zero))
           in
           if traced then
             Trace.event (fun () ->

@@ -20,7 +20,10 @@ module Make (F : Field_intf.S) = struct
   let ground_truth c =
     Metrics.without_counting (fun () ->
         let shares = List.init c.n (fun i -> (i, c.shares.(i))) in
-        Option.map fst (S.robust_reconstruct ~t:c.fault_bound shares))
+        let t = c.fault_bound in
+        Option.map
+          (fun (f, _) -> S.P.eval f F.zero)
+          (S.robust_decode ~min_support:(t + 1) ~t shares))
 
   let write w c =
     Wire.Writer.u16 w c.n;

@@ -50,21 +50,25 @@ module Make (F : Field_intf.S) = struct
     if m < max_degree + 1 + (2 * max_errors) then
       invalid_arg "Berlekamp_welch.decode: too few points for uniqueness";
     Metrics.tick_interpolation ();
-    let agreeing f =
-      List.filter (fun (x, y) -> F.equal (P.eval f x) y) points
-    in
+    (* The agreeing set is computed once: it decides acceptance and is
+       returned as the support. *)
     let accept f =
-      P.degree f <= max_degree
-      && List.length (agreeing f) >= m - max_errors
+      if P.degree f > max_degree then None
+      else
+        let support =
+          List.filter (fun (x, y) -> F.equal (P.eval f x) y) points
+        in
+        if List.length support >= m - max_errors then Some (f, support)
+        else None
     in
     (* Try the largest error count first; fall back in case the locator
        system is degenerate for an over-estimated e. *)
     let rec try_e e =
       if e < 0 then None
       else
-        match attempt ~max_degree points e with
-        | Some f when accept f -> Some (f, agreeing f)
-        | _ -> try_e (e - 1)
+        match Option.bind (attempt ~max_degree points e) accept with
+        | Some _ as decoded -> decoded
+        | None -> try_e (e - 1)
     in
     try_e max_errors
 

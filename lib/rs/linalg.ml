@@ -82,28 +82,4 @@ module Make (F : Field_intf.S) = struct
         Some x
       end
     end
-
-  let solve_homogeneous_nontrivial a =
-    let rows = Array.length a in
-    if rows = 0 then None
-    else begin
-      let cols = Array.length a.(0) in
-      let aug = Array.init rows (fun i -> Array.copy a.(i)) in
-      let pivot_col = reduce rows cols aug in
-      let is_pivot = Array.make cols false in
-      Array.iter (fun c -> if c >= 0 then is_pivot.(c) <- true) pivot_col;
-      (* A free column yields a non-trivial kernel vector: set it to one,
-         read pivots off the reduced rows. *)
-      let rec free c = if c >= cols then None else if is_pivot.(c) then free (c + 1) else Some c in
-      match free 0 with
-      | None -> None
-      | Some fc ->
-          let x = Array.make cols F.zero in
-          x.(fc) <- F.one;
-          for i = 0 to rows - 1 do
-            let c = pivot_col.(i) in
-            if c >= 0 then x.(c) <- F.neg aug.(i).(fc)
-          done;
-          Some x
-    end
 end

@@ -7,8 +7,4 @@ module Make (F : Field_intf.S) : sig
       system is inconsistent. When the system is under-determined, free
       variables are set to zero (any solution works for the decoder).
       [a] is an array of rows; neither input is mutated. *)
-
-  val solve_homogeneous_nontrivial : F.t array array -> F.t array option
-  (** A non-zero [x] with [A x = 0], if one exists (i.e. if the columns
-      are linearly dependent). *)
 end

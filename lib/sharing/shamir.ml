@@ -65,24 +65,26 @@ module Make (F : Field_intf.S) = struct
     if shares = [] then invalid_arg "Shamir.reconstruct_with: no shares";
     G.reconstruct_zero plan shares
 
-  let robust_reconstruct ~t shares =
+  (* The one robust-interpolation policy (Bit-Gen step 5, Coin-Expose
+     step 2): Berlekamp-Welch through up to (m - t - 1) / 2 wrong shares,
+     then at least [min_support] shares must lie on the result. BW's
+     support is an ordered physical sublist of [points], so one merge
+     walk maps it back onto [shares] without field arithmetic. *)
+  let robust_decode ~min_support ~t shares =
     let m = List.length shares in
-    (* (m - t - 1) / 2 truncates toward zero, so at m = t it is 0, not
-       negative — a degree-t decode needs m >= t + 1 points, guard on m. *)
-    let e = (m - t - 1) / 2 in
-    if m <= t then None
+    if m < min_support || m <= t then None
     else
       let points = List.map (fun (i, s) -> (eval_point i, s)) shares in
+      let e = (m - t - 1) / 2 in
       match BW.decode_with_support ~max_degree:t ~max_errors:e points with
-      | None -> None
-      | Some (f, support) ->
-          let support_ids =
-            List.filter
-              (fun (i, s) ->
-                List.exists
-                  (fun (x, y) -> F.equal x (eval_point i) && F.equal y s)
-                  support)
-              shares
+      | Some (f, on_f) when List.length on_f >= min_support ->
+          let rec keep shares points on_f =
+            match (shares, points, on_f) with
+            | share :: shares, p :: points, q :: rest when p == q ->
+                share :: keep shares points rest
+            | _ :: shares, _ :: points, _ :: _ -> keep shares points on_f
+            | _ -> []
           in
-          Some (BW.P.eval f F.zero, support_ids)
+          Some (f, keep shares points on_f)
+      | Some _ | None -> None
 end

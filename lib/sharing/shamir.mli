@@ -56,16 +56,26 @@ module Make (F : Field_intf.S) : sig
   (** [reconstruct shares] interpolates [f(0)] from [(player, share)]
       pairs; callers supply at least [t+1] shares from distinct
       players. All supplied shares are used, so a corrupted share
-      corrupts the output — use {!robust_reconstruct} against faults. *)
+      corrupts the output — use {!robust_decode} against faults. *)
 
   val reconstruct_with : G.t -> (int * F.t) list -> F.t
   (** Plan-aware {!reconstruct}: Lagrange-at-zero weights for the
       share subset come from the plan's per-subset cache. *)
 
-  val robust_reconstruct :
-    t:int -> (int * F.t) list -> (F.t * (int * F.t) list) option
-  (** [robust_reconstruct ~t shares] decodes through up to [e] wrong
-      shares where [e = (len - t - 1) / 2] (Berlekamp–Welch), returning
-      the secret and the agreeing shares. [None] when decoding fails,
-      i.e. more errors than the share count supports. *)
+  val robust_decode :
+    min_support:int ->
+    t:int ->
+    (int * F.t) list ->
+    (P.t * (int * F.t) list) option
+  (** [robust_decode ~min_support ~t shares] is the paper's
+      robust-interpolation primitive (Berlekamp–Welch, Section 2) and
+      the only place its policy lives. Over the [m] [(player, share)]
+      pairs it decodes the degree-[<= t] polynomial [f] through up to
+      [e = (m - t - 1) / 2] wrong shares and returns [Some (f, support)],
+      where [support] is the physical sublist of [shares] lying on [f].
+      [None] when [m < min_support] or [m <= t] (no decode runs, nothing
+      is ticked), when decoding fails, or when fewer than [min_support]
+      shares agree. Callers pass [n - t] for the Section-4 acceptance
+      rule and [t + 1] for plain robust reconstruction. Ticks one
+      {!Metrics.tick_interpolation} per decode. *)
 end

@@ -1,7 +1,6 @@
 module Make (F : Field_intf.S) = struct
   module P = Poly.Make (F)
   module S = Shamir.Make (F)
-  module BW = Berlekamp_welch.Make (F)
   module Codec = Wire.Codec (F)
 
   (* Wire codec for the broadcast gammas, so corruption faults under a
@@ -96,19 +95,14 @@ module Make (F : Field_intf.S) = struct
   (* Section-4 acceptance: a degree-<= t polynomial supported by at least
      n - t of the announced values. *)
   let robust_verdict_one ~n ~t announced =
-    let points =
+    let shares =
       List.filter_map
-        (fun i ->
-          Option.map (fun v -> (S.eval_point i, v)) announced.(i))
+        (fun i -> Option.map (fun v -> (i, v)) announced.(i))
         (List.init n Fun.id)
     in
-    let m = List.length points in
-    if m < n - t then Reject
-    else
-      let e = (m - t - 1) / 2 in
-      match BW.decode_with_support ~max_degree:t ~max_errors:e points with
-      | Some (_, support) when List.length support >= n - t -> Accept
-      | Some _ | None -> Reject
+    match S.robust_decode ~min_support:(n - t) ~t shares with
+    | Some _ -> Accept
+    | None -> Reject
 
   let robust_verdict ?dealer ~n ~t announced =
     per_player_verdict ?dealer ~n (fun () -> robust_verdict_one ~n ~t announced)

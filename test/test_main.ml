@@ -12,6 +12,7 @@ let () =
       ("sentinel", Test_sentinel.suite);
       ("graph", Test_graph.suite);
       ("shamir", Test_shamir.suite);
+      ("robust-decode", Test_robust_decode.suite);
       ("kernel", Test_kernel.suite);
       ("batch-kernels", Test_batch_kernels.suite);
       ("bcast", Test_bcast.suite);

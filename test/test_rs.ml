@@ -69,37 +69,6 @@ let prop_linalg_solves_random_systems =
               F.equal !acc rhs)
             a b)
 
-let prop_homogeneous_kernel =
-  QCheck.Test.make ~count:200 ~name:"homogeneous solver finds kernel vectors"
-    QCheck.(pair int (int_range 2 6))
-    (fun (seed, n) ->
-      let g = Prng.of_int seed in
-      (* Build a singular matrix: last row = sum of the others. *)
-      let a = Array.init n (fun _ -> Array.init n (fun _ -> F.random g)) in
-      a.(n - 1) <-
-        Array.init n (fun j ->
-            let acc = ref F.zero in
-            for i = 0 to n - 2 do
-              acc := F.add !acc a.(i).(j)
-            done;
-            !acc);
-      (* Rows are dependent, so columns of the transpose are dependent;
-         feed the transpose to get a guaranteed non-trivial kernel. *)
-      let at = Array.init n (fun i -> Array.init n (fun j -> a.(j).(i))) in
-      match L.solve_homogeneous_nontrivial at with
-      | None -> false
-      | Some x ->
-          let nonzero = Array.exists (fun v -> not (F.equal v F.zero)) x in
-          let zero_image =
-            Array.for_all
-              (fun row ->
-                let acc = ref F.zero in
-                Array.iteri (fun j v -> acc := F.add !acc (F.mul v x.(j))) row;
-                F.equal !acc F.zero)
-              at
-          in
-          nonzero && zero_image)
-
 let prop_bw_decodes_with_errors =
   QCheck.Test.make ~count:200 ~name:"BW decodes with <= e corruptions"
     QCheck.(triple int (int_range 0 4) (int_range 0 3))
@@ -192,7 +161,6 @@ let suite =
       (QCheck_alcotest.to_alcotest ~long:false)
       [
         prop_linalg_solves_random_systems;
-        prop_homogeneous_kernel;
         prop_bw_decodes_with_errors;
         prop_bw_support;
       ]

@@ -25,10 +25,10 @@ let prop_robust_reconstruct =
       let bad = Prng.sample_distinct g errors n in
       List.iter (fun i -> shares.(i) <- F.add shares.(i) (F.random_nonzero g)) bad;
       let all = List.init n (fun i -> (i, shares.(i))) in
-      match S.robust_reconstruct ~t all with
+      match S.robust_decode ~min_support:(t + 1) ~t all with
       | None -> false
-      | Some (v, support) ->
-          F.equal v secret
+      | Some (f, support) ->
+          F.equal (S.P.eval f F.zero) secret
           && List.for_all (fun (i, _) -> not (List.mem i bad)) support)
 
 (* t shares carry no information: for a fixed share pattern held by the
